@@ -16,6 +16,7 @@ import statistics
 import time
 
 from benchmarks.conftest import NUM_CHANGES, record_row
+from ledger.stats import percentile
 from repro.core.realconfig import RealConfig
 from repro.serve import DeadLetterBox, ServeDaemon, ServeOptions
 from repro.serve.stream import ChangeBatch, encode_batch
@@ -35,13 +36,6 @@ def _stream(labeled):
         )
         for index, changes in enumerate(batches)
     ]
-
-
-def _percentiles(samples):
-    ordered = sorted(samples)
-    p50 = statistics.median(ordered)
-    p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-    return p50, p99
 
 
 def _run_daemon(snapshot, batches, options, tmp_path, tag):
@@ -117,11 +111,14 @@ def test_serve_throughput(fattree, tmp_path):
         ("daemon, robustness off", plain_elapsed, plain_latencies),
         ("daemon, robustness on", robust_elapsed, robust_latencies),
     ):
-        p50, p99 = _percentiles(latencies)
+        # p99 is None unless >= 10 samples lie beyond it (ledger/stats.py).
+        p99 = percentile(latencies, 0.99)
+        p99_text = "n/a" if p99 is None else f"{p99 * 1000:7.2f}ms"
         record_row(
             "Serving throughput (flap stream)",
             f"{tag:24s} | {len(batches) / elapsed:8.1f} batches/s | "
-            f"p50 {p50 * 1000:7.2f}ms | p99 {p99 * 1000:7.2f}ms",
+            f"p50 {statistics.median(latencies) * 1000:7.2f}ms | "
+            f"p99 {p99_text} (n={len(latencies)})",
         )
 
     # The serving wrapper (queue + spans + breaker bookkeeping) must not

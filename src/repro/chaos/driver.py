@@ -121,7 +121,12 @@ def run(
     workdir: Path, batches: int = DEFAULT_BATCHES, seed: int = DEFAULT_SEED
 ) -> int:
     from repro.resilience.checkpoint import CheckpointError, restore_checkpoint
-    from repro.serve import DeadLetterBox, ServeDaemon, ServeOptions
+    from repro.serve import (
+        DeadLetterBox,
+        ServeDaemon,
+        ServeOptions,
+        cursor_from_extras,
+    )
     from repro.serve.stream import fib_fingerprint, read_stream
 
     workdir = Path(workdir)
@@ -143,7 +148,7 @@ def run(
             verifier = _fresh_verifier(seed)
         else:
             verifier = restored.verifier
-            cursor = int((restored.extras.get("serve") or {}).get("cursor", 0))
+            cursor = cursor_from_extras(restored.extras)
             if restored.fell_back:
                 resume_fallback = {
                     "requested": str(restored.requested),

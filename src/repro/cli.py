@@ -294,8 +294,10 @@ def _serve_verifier(args: argparse.Namespace):
         snapshot = load_snapshot(args.snapshot)
         policies.extend(_reachability_policies(snapshot))
     if args.resume_from is not None:
+        from repro.serve import cursor_from_extras
+
         restored = _restore_resolved(args, args.resume_from)
-        cursor = int((restored.extras.get("serve") or {}).get("cursor", 0))
+        cursor = cursor_from_extras(restored.extras)
         fallback = None
         if restored.fell_back:
             fallback = {
@@ -320,17 +322,32 @@ def _serve_verifier(args: argparse.Namespace):
     return verifier, 0, None
 
 
+def _serve_options(args: argparse.Namespace, **single_stream):
+    """The ServeOptions both serving modes build from the shared flags;
+    ``single_stream`` adds the daemon-only ones."""
+    from repro.serve import ServeOptions
+
+    return ServeOptions(
+        deadline_seconds=args.deadline,
+        max_retries=args.max_retries,
+        backoff_base=args.backoff_base,
+        breaker_threshold=args.breaker_threshold,
+        breaker_cooldown=args.breaker_cooldown,
+        poll_interval=args.poll_interval,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_generations=args.checkpoint_generations,
+        health_file=args.health_file,
+        journal_file=args.journal,
+        obs_port=args.obs_port,
+        **single_stream,
+    )
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """Long-lived serving loop over a change stream (and ``repro watch``,
     which polls a directory for new batch files instead of reading a
     finite stream)."""
-    from repro.serve import (
-        DeadLetterBox,
-        ServeDaemon,
-        ServeOptions,
-        read_stream,
-        watch_stream,
-    )
+    from repro.serve import DeadLetterBox, ServeDaemon, read_stream, watch_stream
 
     if getattr(args, "tenants", None) is not None:
         if args.snapshot is not None or args.stream is not None:
@@ -351,21 +368,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     verifier, cursor, resume_fallback = _serve_verifier(args)
     watching = args.command == "watch"
-    options = ServeOptions(
-        deadline_seconds=args.deadline,
-        max_retries=args.max_retries,
-        backoff_base=args.backoff_base,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
+    options = _serve_options(
+        args,
         queue_capacity=args.queue_capacity,
-        poll_interval=args.poll_interval,
         audit_every=args.audit_every,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_generations=args.checkpoint_generations,
-        health_file=args.health_file,
         checkpoint_file=args.checkpoint,
-        journal_file=args.journal,
-        obs_port=args.obs_port,
     )
     if watching:
         source = watch_stream(
@@ -404,26 +411,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_serve_tenants(args: argparse.Namespace) -> int:
     """``repro serve --tenants DIR``: the multi-tenant service."""
-    from repro.serve import ServeOptions
     from repro.tenants import TenantService, TenantServiceOptions
 
     options = TenantServiceOptions(
-        serve=ServeOptions(
-            deadline_seconds=args.deadline,
-            max_retries=args.max_retries,
-            backoff_base=args.backoff_base,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown,
-            checkpoint_generations=args.checkpoint_generations,
-        ),
+        serve=_serve_options(args),
         memory_budget_bytes=int(args.memory_budget * 1024 * 1024),
         tenant_queue_capacity=args.tenant_queue,
-        checkpoint_every=args.checkpoint_every,
-        poll_interval=args.poll_interval,
         drain=not args.linger,
-        health_file=args.health_file,
-        journal_file=args.journal,
-        obs_port=args.obs_port,
     )
     service = TenantService(args.tenants, options)
     print(f"serving {len(service.registry)} tenant(s) from {args.tenants}")
@@ -507,15 +501,13 @@ def cmd_tenant(args: argparse.Namespace) -> int:
             )
             tenants = payload["tenants"]
         else:
-            from repro.resilience.checkpoint import read_checkpoint_extras
-            from repro.serve import DeadLetterBox
+            from repro.serve import DeadLetterBox, resume_cursor_from
 
             tenants = []
             for config in discover_tenants(directory):
                 cursor = 0
                 if config.checkpoint_file.exists():
-                    extras = read_checkpoint_extras(config.checkpoint_file)
-                    cursor = int((extras.get("serve") or {}).get("cursor", 0))
+                    cursor = resume_cursor_from(config.checkpoint_file)
                 quarantined = (
                     len(DeadLetterBox(config.deadletter_dir))
                     if config.deadletter_dir.is_dir()

@@ -80,16 +80,25 @@ class FaultSpec:
 
 @dataclass
 class FaultPlan:
-    """A set of fault specs plus the record of what fired."""
+    """A set of fault specs plus the record of what fired.
+
+    ``sleep`` is what a ``delay`` fault calls; a test that runs the code
+    under a fake clock passes a sleeper that advances that clock, so the
+    delay is deterministic instead of wall-clock time.
+    """
 
     specs: Tuple[FaultSpec, ...]
     calls: Dict[str, int] = field(default_factory=dict)
     fired: List[Tuple[str, int, str]] = field(default_factory=list)
+    sleep: Callable[[float], None] = time.sleep
 
-    def __init__(self, *specs: FaultSpec) -> None:
+    def __init__(
+        self, *specs: FaultSpec, sleep: Callable[[float], None] = time.sleep
+    ) -> None:
         self.specs = tuple(specs)
         self.calls = {}
         self.fired = []
+        self.sleep = sleep
 
     def record(self, stage: str, payload: Any) -> None:
         """Count one invocation of ``stage``; fire any matching spec."""
@@ -100,7 +109,7 @@ class FaultPlan:
                 continue
             self.fired.append((stage, count, spec.action))
             if spec.action == "delay":
-                time.sleep(spec.delay_seconds)
+                self.sleep(spec.delay_seconds)
             elif spec.action == "corrupt":
                 assert spec.mutate is not None
                 spec.mutate(payload)

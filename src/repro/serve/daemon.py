@@ -23,10 +23,11 @@ across an arbitrarily long stream of change batches:
   twice.
 
 The batch-level machinery (retry, quarantine, breaker, rebuild) lives in
-:class:`~repro.serve.engine.BatchEngine`; the daemon composes exactly one
-engine and adds the loop around it — queueing, signals, watchdog, health,
-checkpoints, and the introspection server.  The multi-tenant service
-(:mod:`repro.tenants`) composes one engine per tenant instead.
+:class:`~repro.serve.engine.BatchEngine`; signals, journal, health and the
+introspection server live in :class:`~repro.serve.shell.ServeShell`, which
+the multi-tenant service (:mod:`repro.tenants`) extends too.  The daemon
+composes exactly one engine and adds what a single stream needs: the
+source queue with its resume skip, the watchdog and the checkpoint.
 
 Every verification is transactional (PR 3), which is what makes retries
 and quarantine safe: a failed attempt always leaves the verifier at the
@@ -35,49 +36,28 @@ pre-batch state.
 
 from __future__ import annotations
 
-import json
-import os
-import signal
 import time
 from collections import deque
-from pathlib import Path
-from typing import Callable, Deque, Iterable, Iterator, List, Optional, Union
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, Optional
 
 from repro.chaos.points import crash_point
 from repro.core.realconfig import RealConfig
-from repro.obs import (
-    EVENT_AUDIT,
-    EVENT_CHECKPOINT,
-    EVENT_CHECKPOINT_FAILED,
-    EVENT_CHECKPOINT_FALLBACK,
-    EVENT_START,
-    EVENT_STOP,
-    EventJournal,
-    FlightRecorder,
-    IntrospectionServer,
-    ObsState,
-)
-from repro.resilience.checkpoint import (
-    CheckpointError,
-    read_checkpoint_extras,
-    write_checkpoint,
-)
+from repro.obs import EVENT_AUDIT, EVENT_CHECKPOINT, EVENT_CHECKPOINT_FALLBACK
 from repro.serve.breaker import OPEN, CircuitBreaker
 from repro.serve.deadletter import DeadLetterBox
 from repro.serve.engine import BatchEngine, ServeOptions, ServeStats
-from repro.serve.policy import RetryPolicy
+from repro.serve.shell import ServeShell, write_cursor_checkpoint
 from repro.serve.stream import ChangeBatch
-from repro.telemetry import atomic_write_text, get_metrics, names
+from repro.telemetry import names, set_gauge
 
 __all__ = [
     "ServeDaemon",
     "ServeOptions",
     "ServeStats",
-    "resume_cursor_from",
 ]
 
 
-class ServeDaemon:
+class ServeDaemon(ServeShell):
     """Drive a verifier over a stream of change batches, fault-tolerantly.
 
     ``source`` yields :class:`ChangeBatch` objects; it may also yield
@@ -101,14 +81,10 @@ class ServeDaemon:
         resume_fallback: Optional[dict] = None,
     ) -> None:
         self.options = options or ServeOptions()
+        super().__init__(self.options, sleep)
         self._source: Iterator[Optional[ChangeBatch]] = iter(source)
         self._queue: Deque[ChangeBatch] = deque()
         self._exhausted = False
-        self._idle = False
-        self._clock = clock
-        self._sleep = sleep
-        self._stop_requested = False
-        self._installed_handlers: List = []
         self._on_batch_done = on_batch_done
         #: Stream entries fully disposed of (committed or quarantined) —
         #: the resume cursor persisted in checkpoint extras.
@@ -119,13 +95,6 @@ class ServeDaemon:
         self._resume_fallback = resume_fallback
         self._batches_since_audit = 0
         self._batches_since_checkpoint = 0
-        self._status = "starting"
-        self._last_batch: Optional[str] = None
-        #: The event journal (file-backed when --journal is set, in-memory
-        #: otherwise) and the flight recorder tapping it.
-        self.journal = EventJournal(self.options.journal_file)
-        self.recorder = FlightRecorder()
-        self.journal.subscribe(self.recorder.record_event)
         #: The per-batch fault domain: retry, quarantine, breaker, rebuild.
         self.engine = BatchEngine(
             verifier,
@@ -136,18 +105,7 @@ class ServeDaemon:
             clock=clock,
             sleep=sleep,
         )
-        #: Started eagerly (not in run()) so callers can read the bound
-        #: port / print the URL before the blocking loop begins.
-        self.obs_server: Optional[IntrospectionServer] = None
-        if self.options.obs_port is not None:
-            state = ObsState(
-                health=self.health_payload,
-                stats=self.stats_payload,
-                events_since=self._events_since,
-            )
-            self.obs_server = IntrospectionServer(
-                state, host=self.options.obs_host, port=self.options.obs_port
-            ).start()
+        self._start_obs_server()
 
     # -- the engine's surface, re-exposed --------------------------------------
 
@@ -155,25 +113,13 @@ class ServeDaemon:
     def verifier(self) -> RealConfig:
         return self.engine.verifier
 
-    @verifier.setter
-    def verifier(self, value: RealConfig) -> None:
-        self.engine.verifier = value
-
     @property
     def breaker(self) -> Optional[CircuitBreaker]:
         return self.engine.breaker
 
-    @breaker.setter
-    def breaker(self, value: Optional[CircuitBreaker]) -> None:
-        self.engine.breaker = value
-
     @property
     def stats(self) -> ServeStats:
         return self.engine.stats
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        return self.engine.retry_policy
 
     @property
     def dead_letter(self) -> DeadLetterBox:
@@ -182,36 +128,12 @@ class ServeDaemon:
     def _process_batch(self, batch: ChangeBatch) -> bool:
         return self.engine.process_batch(batch)
 
-    # -- control -------------------------------------------------------------
-
-    def request_stop(self) -> None:
-        """Finish the in-flight batch, checkpoint, and exit the loop."""
-        self._stop_requested = True
-
-    @property
-    def stopping(self) -> bool:
-        return self._stop_requested
-
-    def install_signal_handlers(self) -> None:
-        """Route SIGINT/SIGTERM to :meth:`request_stop` (graceful drain)."""
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous = signal.signal(
-                signum, lambda _signum, _frame: self.request_stop()
-            )
-            self._installed_handlers.append((signum, previous))
-
-    def _restore_signal_handlers(self) -> None:
-        while self._installed_handlers:
-            signum, previous = self._installed_handlers.pop()
-            signal.signal(signum, previous)
-
-    # -- the queue ------------------------------------------------------------
+    # -- admission: the queue ----------------------------------------------------
 
     def _refill(self) -> None:
         """Pull from the source up to capacity — the backpressure bound:
         the daemon never materializes more than ``queue_capacity`` batches
         ahead of the verifier."""
-        self._idle = False
         while (
             not self._exhausted
             and len(self._queue) < self.options.queue_capacity
@@ -222,16 +144,13 @@ class ServeDaemon:
                 self._exhausted = True
                 break
             if batch is None:  # watch source: nothing available right now
-                self._idle = True
                 break
             if self._to_skip > 0:
                 self._to_skip -= 1
                 self.stats.skipped_on_resume += 1
                 continue
             self._queue.append(batch)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.gauge(names.SERVE_QUEUE_DEPTH).set(len(self._queue))
+        set_gauge(names.SERVE_QUEUE_DEPTH, len(self._queue))
         self.stats.max_queue_depth = max(
             self.stats.max_queue_depth, len(self._queue)
         )
@@ -239,37 +158,30 @@ class ServeDaemon:
     # -- the loop -------------------------------------------------------------
 
     def run(self, handle_signals: bool = False) -> ServeStats:
-        if handle_signals:
-            self.install_signal_handlers()
-        self._status = "serving"
-        self.journal.emit(
-            EVENT_START, cursor=self.cursor, pid=os.getpid()
-        )
+        self._run(handle_signals)
+        return self.stats
+
+    def _journal_start(self) -> None:
+        super()._journal_start()
         if self._resume_fallback is not None:
             self.journal.emit(
                 EVENT_CHECKPOINT_FALLBACK, **self._resume_fallback
             )
-        self._write_health("serving")
-        self._set_gauge(names.SERVE_HEALTHY, 1)
-        try:
-            while not self._stop_requested:
-                if not self._queue:
-                    self._refill()
-                if not self._queue:
-                    if self._exhausted:
-                        break
-                    # Watch source with nothing to do: heartbeat and wait.
-                    self._write_health("serving")
-                    self._sleep(self.options.poll_interval)
-                    continue
-                batch = self._queue.popleft()
-                ok = self._process_batch(batch)
-                self.cursor += 1
-                crash_point("cursor.commit")
-                self._after_batch(batch, ok)
-        finally:
-            self._finalize(handle_signals)
-        return self.stats
+
+    def _serve_step(self) -> bool:
+        if not self._queue:
+            self._refill()
+        if not self._queue:
+            return False
+        batch = self._queue.popleft()
+        ok = self._process_batch(batch)
+        self.cursor += 1
+        crash_point("cursor.commit")
+        self._after_batch(batch, ok)
+        return True
+
+    def _drained(self) -> bool:
+        return self._exhausted and not self._queue
 
     def _after_batch(self, batch: ChangeBatch, ok: bool) -> None:
         self._batches_since_checkpoint += 1
@@ -285,31 +197,13 @@ class ServeDaemon:
         if self._on_batch_done is not None:
             self._on_batch_done(self, batch, ok)
 
-    def _finalize(self, handle_signals: bool) -> None:
+    def _dispose(self) -> None:
         if self.options.checkpoint_file is not None:
             self.write_checkpoint()
         self.verifier.close()  # release the worker pool, if any
         self.stats.stopped_early = self._stop_requested
-        self._status = "stopped"
-        self.journal.emit(
-            EVENT_STOP,
-            cursor=self.cursor,
-            stopped_early=self._stop_requested,
-            batches_ok=self.stats.batches_ok,
-            batches_seen=self.stats.batches_seen,
-            quarantined=self.stats.quarantined,
-        )
-        self._write_health("stopped")
-        self._set_gauge(names.SERVE_HEALTHY, 0)
-        # Health/journal before teardown: a last scrape during shutdown
-        # still sees the final state; then the server and journal go away.
-        if self.obs_server is not None:
-            self.obs_server.stop()
-        self.journal.close()
-        if handle_signals:
-            self._restore_signal_handlers()
 
-    # -- watchdog / health / checkpoint ---------------------------------------
+    # -- watchdog / checkpoint -------------------------------------------------
 
     def _watchdog(self) -> None:
         if self.options.audit_every <= 0:
@@ -333,39 +227,29 @@ class ServeDaemon:
         instead of killing the daemon: the stream keeps draining and the
         next cadence retries the write."""
         assert self.options.checkpoint_file is not None
-        try:
-            write_checkpoint(
-                self.verifier,
-                self.options.checkpoint_file,
-                extras={
-                    "serve": {
-                        "cursor": self.cursor,
-                        "quarantined_ids": list(self.stats.quarantined_ids),
-                    }
-                },
-                keep=self.options.checkpoint_generations,
-            )
-        except CheckpointError as error:
-            self.stats.checkpoint_failures += 1
-            self._count(names.CHECKPOINT_WRITE_FAILURES)
-            self.journal.emit(
-                EVENT_CHECKPOINT_FAILED, cursor=self.cursor, error=str(error)
-            )
+        error = write_cursor_checkpoint(
+            self.engine, self.options.checkpoint_file, self.cursor
+        )
+        if error is not None:
             return False
         self.journal.emit(EVENT_CHECKPOINT, cursor=self.cursor)
         return True
 
-    # -- the introspection surface ---------------------------------------------
+    # -- payload fields --------------------------------------------------------
 
-    def health_payload(
-        self, status: Optional[str] = None, last_batch: Optional[str] = None
-    ) -> dict:
-        """The liveness/readiness JSON — one shape for both the
-        ``--health-file`` heartbeat and ``GET /health``."""
-        payload = {
-            "status": status or self._status,
-            "pid": os.getpid(),
-            "updated_unix": time.time(),
+    def _start_fields(self) -> Dict[str, Any]:
+        return {"cursor": self.cursor}
+
+    def _stop_fields(self) -> Dict[str, Any]:
+        return {
+            "cursor": self.cursor,
+            "batches_ok": self.stats.batches_ok,
+            "batches_seen": self.stats.batches_seen,
+            "quarantined": self.stats.quarantined,
+        }
+
+    def _health_fields(self) -> Dict[str, Any]:
+        return {
             "cursor": self.cursor,
             "mode": (
                 "rebuild"
@@ -384,68 +268,12 @@ class ServeDaemon:
             "lint_rejected": self.stats.lint_rejected,
             "lint_new_errors": self.stats.lint_new_errors,
             "checkpoint_failures": self.stats.checkpoint_failures,
-            "journal_degraded": self.journal.degraded,
         }
-        if last_batch is not None:
-            self._last_batch = last_batch
-        if self._last_batch is not None:
-            payload["last_batch"] = self._last_batch
-        return payload
 
-    def stats_payload(self) -> dict:
-        """``GET /stats``: serving counters + journal position + the
-        flight recorder's per-stage latency summaries."""
+    def _stats_fields(self) -> Dict[str, Any]:
         return {
             "stats": dict(vars(self.stats)),
             "cursor": self.cursor,
             "queue_depth": len(self._queue),
             "breaker_state": self.breaker.state if self.breaker else None,
-            "journal_seq": self.journal.seq,
-            "journal_file": (
-                str(self.journal.path) if self.journal.path else None
-            ),
-            "flight_dumps": self.recorder.dumps_written,
-            "histograms": self.recorder.histograms(),
         }
-
-    def _events_since(self, since: int) -> list:
-        """``GET /events``: durable journal replay when a file is
-        configured, the flight recorder's in-memory ring otherwise —
-        including after the journal degraded on a write error (the file
-        is frozen mid-stream; the ring has everything since)."""
-        if self.journal.path is not None and not self.journal.degraded:
-            return self.journal.events_since(since)
-        return self.recorder.events(since)
-
-    def _write_health(
-        self, status: str, last_batch: Optional[str] = None
-    ) -> None:
-        if self.options.health_file is None:
-            return
-        payload = self.health_payload(status, last_batch)
-        atomic_write_text(
-            Path(self.options.health_file),
-            json.dumps(payload, sort_keys=True, indent=2),
-        )
-
-    # -- telemetry shims -------------------------------------------------------
-
-    @staticmethod
-    def _count(metric_name: str) -> None:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(metric_name).inc()
-
-    @staticmethod
-    def _set_gauge(metric_name: str, value: float) -> None:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.gauge(metric_name).set(value)
-
-
-def resume_cursor_from(checkpoint_path: Union[str, Path]) -> int:
-    """The stream cursor stored by a daemon's shutdown checkpoint (0 for
-    checkpoints written outside a serve run)."""
-    extras = read_checkpoint_extras(checkpoint_path)
-    serve_extras = extras.get("serve") or {}
-    return int(serve_extras.get("cursor", 0))

@@ -48,7 +48,7 @@ from repro.serve.policy import (
     classify_failure,
 )
 from repro.serve.stream import ChangeBatch, StreamError, fib_fingerprint
-from repro.telemetry import get_metrics, names, span
+from repro.telemetry import count, names, set_gauge, span
 
 
 @dataclass
@@ -204,7 +204,7 @@ class BatchEngine:
 
     def process_batch(self, batch: ChangeBatch) -> bool:
         self.stats.batches_seen += 1
-        self._count(names.SERVE_BATCHES)
+        count(names.SERVE_BATCHES)
         started = time.perf_counter()
         try:
             with span(names.SPAN_SERVE_BATCH, batch=batch.batch_id) as sp:
@@ -225,7 +225,7 @@ class BatchEngine:
                 incremental = (
                     self.breaker.allows_incremental() if self.breaker else True
                 )
-                self._set_gauge(
+                set_gauge(
                     names.SERVE_BREAKER_STATE,
                     self.breaker.gauge_value() if self.breaker else 0,
                 )
@@ -259,7 +259,7 @@ class BatchEngine:
                 if self.breaker:
                     self.breaker.record_success()
                 self.stats.batches_ok += 1
-                self._count(names.SERVE_BATCHES_OK)
+                count(names.SERVE_BATCHES_OK)
                 self.stats.new_violations += len(delta.newly_violated)
                 if delta.lint is not None:
                     self._track_lint_errors(delta.lint)
@@ -267,7 +267,7 @@ class BatchEngine:
                 return True
             if isinstance(error, DeadlineExceeded):
                 self.stats.deadline_exceeded += 1
-                self._count(names.SERVE_DEADLINE_EXCEEDED)
+                count(names.SERVE_DEADLINE_EXCEEDED)
                 self.journal.emit(
                     EVENT_DEADLINE,
                     batch=batch.batch_id,
@@ -276,7 +276,7 @@ class BatchEngine:
                 )
             if self.retry_policy.should_retry(attempt, error):
                 self.stats.retries += 1
-                self._count(names.SERVE_RETRIES)
+                count(names.SERVE_RETRIES)
                 self.journal.emit(
                     EVENT_RETRIED,
                     batch=batch.batch_id,
@@ -290,12 +290,12 @@ class BatchEngine:
             if self.breaker:
                 opens_before = self.breaker.opens
                 self.breaker.record_failure()
-                self._set_gauge(
+                set_gauge(
                     names.SERVE_BREAKER_STATE, self.breaker.gauge_value()
                 )
                 if self.breaker.opens > opens_before:
                     self.stats.breaker_opens += 1
-                    self._count(names.SERVE_BREAKER_OPENS)
+                    count(names.SERVE_BREAKER_OPENS)
                     self.journal.emit(
                         EVENT_BREAKER,
                         batch=batch.batch_id,
@@ -385,7 +385,7 @@ class BatchEngine:
         pipeline entirely.  No deadline — the from-scratch path is the
         fallback of last resort and must be allowed to finish."""
         self.stats.rebuild_batches += 1
-        self._count(names.SERVE_REBUILD_BATCHES)
+        count(names.SERVE_REBUILD_BATCHES)
         options = self.verifier._options
         try:
             with span(names.SPAN_REBUILD, batch=batch.batch_id):
@@ -423,7 +423,7 @@ class BatchEngine:
         if fresh.lint_result is not None:
             self._track_lint_errors(fresh.lint_result)
         self.stats.batches_ok += 1
-        self._count(names.SERVE_BATCHES_OK)
+        count(names.SERVE_BATCHES_OK)
         after = {
             status.policy.name: status.holds
             for status in fresh.checker.statuses()
@@ -482,7 +482,7 @@ class BatchEngine:
     ) -> None:
         if failure_class == "lint-rejected":
             self.stats.lint_rejected += 1
-            self._count(names.SERVE_LINT_REJECTED)
+            count(names.SERVE_LINT_REJECTED)
             self.journal.emit(
                 EVENT_LINT_REJECTED, batch=batch.batch_id, error=str(error)
             )
@@ -497,7 +497,7 @@ class BatchEngine:
         )
         self.stats.quarantined += 1
         self.stats.quarantined_ids.append(batch.batch_id)
-        self._count(names.SERVE_QUARANTINED)
+        count(names.SERVE_QUARANTINED)
         self.journal.emit(
             EVENT_QUARANTINED,
             batch=batch.batch_id,
@@ -513,17 +513,3 @@ class BatchEngine:
     def close(self) -> None:
         """Release the verifier's worker pool, if any."""
         self.verifier.close()
-
-    # -- telemetry shims -------------------------------------------------------
-
-    @staticmethod
-    def _count(metric_name: str) -> None:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(metric_name).inc()
-
-    @staticmethod
-    def _set_gauge(metric_name: str, value: float) -> None:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.gauge(metric_name).set(value)

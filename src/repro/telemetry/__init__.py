@@ -28,7 +28,9 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     NullMetrics,
+    count,
     get_metrics,
+    set_gauge,
     set_metrics,
 )
 from repro.telemetry.tracer import (
@@ -57,7 +59,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullMetrics",
+    "count",
     "get_metrics",
+    "set_gauge",
     "set_metrics",
     "NullTracer",
     "Span",

@@ -241,3 +241,17 @@ def set_metrics(
     previous = _GLOBAL_METRICS
     _GLOBAL_METRICS = registry
     return previous
+
+
+def count(name: str) -> None:
+    """Increment counter ``name`` on the installed registry (no-op when
+    metrics are off)."""
+    if _GLOBAL_METRICS.enabled:
+        _GLOBAL_METRICS.counter(name).inc()
+
+
+def set_gauge(name: str, value: float) -> None:
+    """Set gauge ``name`` on the installed registry (no-op when metrics
+    are off)."""
+    if _GLOBAL_METRICS.enabled:
+        _GLOBAL_METRICS.gauge(name).set(value)

@@ -37,7 +37,6 @@ from repro.config.io import load_snapshot
 from repro.config.schema import ConfigError
 from repro.core.realconfig import RealConfig
 from repro.obs import (
-    EVENT_CHECKPOINT_FAILED,
     EVENT_CHECKPOINT_FALLBACK,
     EVENT_TENANT_EVICTED,
     EVENT_TENANT_HYDRATED,
@@ -45,16 +44,16 @@ from repro.obs import (
     FlightRecorder,
     TenantJournal,
 )
-from repro.resilience.checkpoint import (
-    CheckpointError,
-    read_checkpoint_extras,
-    restore_checkpoint,
-    write_checkpoint,
-)
+from repro.resilience.checkpoint import CheckpointError, restore_checkpoint
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.deadletter import DeadLetterBox
 from repro.serve.engine import BatchEngine, ServeOptions, ServeStats
-from repro.telemetry import get_metrics, names, span
+from repro.serve.shell import (
+    cursor_from_extras,
+    resume_cursor_from,
+    write_cursor_checkpoint,
+)
+from repro.telemetry import count, get_metrics, names, set_gauge, span
 
 TENANT_CONFIG_FILE = "tenant.json"
 SNAPSHOT_DIR = "snapshot"
@@ -192,14 +191,12 @@ class TenantState:
         self.last_error: Optional[str] = None
         if config.checkpoint_file.exists():
             try:
-                extras = read_checkpoint_extras(config.checkpoint_file)
+                self.cursor = resume_cursor_from(config.checkpoint_file)
             except CheckpointError:
                 # An unreadable checkpoint must not make the tenant
                 # inadmissible: keep it registered and let hydration
                 # surface the error inside the tenant's fault domain.
-                extras = {}
-            serve_extras = extras.get("serve") or {}
-            self.cursor = int(serve_extras.get("cursor", 0))
+                pass
 
     @property
     def tenant_id(self) -> str:
@@ -297,7 +294,7 @@ class TenantRegistry:
             raise TenantError(f"tenant {config.tenant_id} already registered")
         state = TenantState(config, self.options)
         self._states[config.tenant_id] = state
-        self._set_gauge(names.TENANTS_REGISTERED, len(self._states))
+        set_gauge(names.TENANTS_REGISTERED, len(self._states))
         return state
 
     def state(self, tenant_id: str) -> TenantState:
@@ -377,9 +374,8 @@ class TenantRegistry:
                 # pair generation N's state with generation N-1's cursor.
                 restored = restore_checkpoint(config.checkpoint_file)
                 verifier = restored.verifier
-                serve_extras = restored.extras.get("serve") or {}
                 state.cursor = max(
-                    state.cursor, int(serve_extras.get("cursor", 0))
+                    state.cursor, cursor_from_extras(restored.extras)
                 )
                 if restored.fell_back:
                     self.journal.emit(
@@ -418,7 +414,7 @@ class TenantRegistry:
             cursor=state.cursor,
             footprint_bytes=state.footprint,
         )
-        self._count(names.TENANT_HYDRATIONS)
+        count(names.TENANT_HYDRATIONS)
         self._publish_gauges()
         self.enforce_budget(keep=state.tenant_id)
         return engine
@@ -458,7 +454,7 @@ class TenantRegistry:
             reason=reason,
             cursor=state.cursor,
         )
-        self._count(names.TENANT_EVICTIONS)
+        count(names.TENANT_EVICTIONS)
         self._publish_gauges()
         return True
 
@@ -473,35 +469,22 @@ class TenantRegistry:
         engine = engine if engine is not None else state.engine
         if engine is None:
             return False
-        try:
-            write_checkpoint(
-                engine.verifier,
-                state.config.checkpoint_file,
-                extras={
-                    "serve": {
-                        "cursor": state.cursor,
-                        "quarantined_ids": list(state.stats.quarantined_ids),
-                    },
-                    "tenant": {
-                        "id": state.tenant_id,
-                        "breaker": (
-                            state.breaker.snapshot() if state.breaker else None
-                        ),
-                    },
+        error = write_cursor_checkpoint(
+            engine,
+            state.config.checkpoint_file,
+            state.cursor,
+            extras={
+                "tenant": {
+                    "id": state.tenant_id,
+                    "breaker": (
+                        state.breaker.snapshot() if state.breaker else None
+                    ),
                 },
-                keep=self.options.checkpoint_generations,
-            )
-        except CheckpointError as error:
+            },
+        )
+        if error is not None:
             state.checkpoint_failed = True
-            state.stats.checkpoint_failures += 1
             state.last_error = str(error)
-            self._count(names.CHECKPOINT_WRITE_FAILURES)
-            self.journal.emit(
-                EVENT_CHECKPOINT_FAILED,
-                tenant=state.tenant_id,
-                cursor=state.cursor,
-                error=str(error),
-            )
             self._publish_gauges()
             return False
         state.checkpoint_failed = False
@@ -554,15 +537,3 @@ class TenantRegistry:
         metrics.gauge(names.TENANTS_DEGRADED).set(
             sum(1 for state in self._states.values() if state.degraded)
         )
-
-    @staticmethod
-    def _count(metric_name: str) -> None:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(metric_name).inc()
-
-    @staticmethod
-    def _set_gauge(metric_name: str, value: float) -> None:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.gauge(metric_name).set(value)

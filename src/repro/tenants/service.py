@@ -14,7 +14,8 @@ domain), while the service owns what is genuinely shared:
 - the **memory budget**: an LRU of hydrated models; cold tenants live
   as checkpoints on disk and are rehydrated on demand (single-flight);
 - the shared **journal / flight recorder / introspection server**, with
-  every event tenant-tagged and a ``/tenants`` endpoint for the fleet;
+  every event tenant-tagged and a ``/tenants`` endpoint for the fleet
+  (all from :class:`~repro.serve.shell.ServeShell`, as in the daemon);
 - **graceful degradation**: a tenant whose hydration or stream breaks
   is marked failed and skipped; everyone else keeps committing.  A
   poison batch quarantines into its tenant's private dead-letter box
@@ -31,27 +32,15 @@ as strong as the single-tenant daemon's.
 
 from __future__ import annotations
 
-import json
-import os
-import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from repro.chaos.points import crash_point
-from repro.obs import (
-    EVENT_CHECKPOINT,
-    EVENT_START,
-    EVENT_STOP,
-    EVENT_TENANT_FAILED,
-    EVENT_TENANT_SHED,
-    EventJournal,
-    FlightRecorder,
-    IntrospectionServer,
-    ObsState,
-)
+from repro.obs import EVENT_CHECKPOINT, EVENT_TENANT_FAILED, EVENT_TENANT_SHED
 from repro.serve.engine import ServeOptions, ServeStats
+from repro.serve.shell import ServeShell
 from repro.serve.stream import ChangeBatch, read_stream
 from repro.tenants.registry import (
     TenantConfig,
@@ -59,42 +48,35 @@ from repro.tenants.registry import (
     discover_tenants,
 )
 from repro.tenants.scheduler import FairScheduler, TenantQueue
-from repro.telemetry import atomic_write_text, get_metrics, names
+from repro.telemetry import count, names
 
 
 @dataclass
 class TenantServiceOptions:
-    """Service-level knobs.  ``serve`` holds the per-tenant engine knobs
-    (deadline, retries, backoff, breaker); its daemon-only fields
-    (health/checkpoint/journal paths, obs port) are ignored here — the
-    service owns those surfaces itself, fleet-wide."""
+    """Service-level knobs.  ``serve`` holds the per-tenant engine knobs,
+    the per-tenant ``checkpoint_every`` cadence (0 = only on evict /
+    shutdown) and the shell's poll interval, health/journal files and
+    obs server; its ``checkpoint_file``, ``queue_capacity`` and
+    ``audit_every`` are single-stream settings."""
 
     serve: ServeOptions = field(default_factory=ServeOptions)
     #: LRU budget over hydrated verifiers (bytes); 0 = unlimited.
     memory_budget_bytes: int = 0
     #: Bound of each tenant's pending-batch queue.
     tenant_queue_capacity: int = 8
-    #: Per-tenant checkpoint cadence in committed batches (0 = only on
-    #: evict / shutdown).
-    checkpoint_every: int = 0
-    poll_interval: float = 0.2
     #: Loop iterations between control scans (evict markers, new tenant
     #: directories appearing under the root).
     control_scan_every: int = 16
     #: Stop when every tenant's stream is exhausted (False = keep
     #: polling for appended batches / new tenants until stopped).
     drain: bool = True
-    health_file: Optional[Union[str, Path]] = None
-    journal_file: Optional[Union[str, Path]] = None
-    obs_port: Optional[int] = None
-    obs_host: str = "127.0.0.1"
 
     def __post_init__(self) -> None:
         if self.tenant_queue_capacity < 1:
             raise ValueError("tenant_queue_capacity must be >= 1")
 
 
-class TenantService:
+class TenantService(ServeShell):
     """Serve every tenant directory under ``directory``, fairly."""
 
     def __init__(
@@ -106,15 +88,8 @@ class TenantService:
     ) -> None:
         self.directory = Path(directory)
         self.options = options or TenantServiceOptions()
-        self._clock = clock
-        self._sleep = sleep
-        self._stop_requested = False
-        self._installed_handlers: List = []
-        self._status = "starting"
+        super().__init__(self.options.serve, sleep)
         self._iterations = 0
-        self.journal = EventJournal(self.options.journal_file)
-        self.recorder = FlightRecorder()
-        self.journal.subscribe(self.recorder.record_event)
         self.registry = TenantRegistry(
             self.options.serve,
             journal=self.journal,
@@ -130,17 +105,7 @@ class TenantService:
         self._since_checkpoint: Dict[str, int] = {}
         for config in discover_tenants(self.directory):
             self._admit_tenant(config)
-        self.obs_server: Optional[IntrospectionServer] = None
-        if self.options.obs_port is not None:
-            state = ObsState(
-                health=self.health_payload,
-                stats=self.stats_payload,
-                events_since=self._events_since,
-                tenants=self.tenants_payload,
-            )
-            self.obs_server = IntrospectionServer(
-                state, host=self.options.obs_host, port=self.options.obs_port
-            ).start()
+        self._start_obs_server()
 
     # -- membership ------------------------------------------------------------
 
@@ -178,7 +143,7 @@ class TenantService:
         if not state.failed and self._queues[tenant_id].push(batch):
             return True
         state.shed += 1
-        self._count(names.TENANT_SHED)
+        count(names.TENANT_SHED)
         self.journal.emit(
             EVENT_TENANT_SHED,
             tenant=tenant_id,
@@ -235,63 +200,27 @@ class TenantService:
 
     # -- the loop --------------------------------------------------------------
 
-    def request_stop(self) -> None:
-        """Finish the in-flight batch, checkpoint every hydrated tenant,
-        and exit the loop."""
-        self._stop_requested = True
-
-    @property
-    def stopping(self) -> bool:
-        return self._stop_requested
-
-    def install_signal_handlers(self) -> None:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous = signal.signal(
-                signum, lambda _signum, _frame: self.request_stop()
-            )
-            self._installed_handlers.append((signum, previous))
-
-    def _restore_signal_handlers(self) -> None:
-        while self._installed_handlers:
-            signum, previous = self._installed_handlers.pop()
-            signal.signal(signum, previous)
-
     def run(self, handle_signals: bool = False) -> Dict[str, ServeStats]:
-        if handle_signals:
-            self.install_signal_handlers()
-        self._status = "serving"
-        self.journal.emit(
-            EVENT_START,
-            pid=os.getpid(),
-            tenants=len(self.registry),
-            mode="multi-tenant",
-        )
-        self._write_health("serving")
-        self._set_gauge(names.SERVE_HEALTHY, 1)
-        try:
-            while not self._stop_requested:
-                self._iterations += 1
-                if (
-                    self.options.control_scan_every > 0
-                    and self._iterations % self.options.control_scan_every == 0
-                ):
-                    self.scan_controls()
-                for tenant_id in list(self._queues):
-                    self._refill(tenant_id)
-                ready = self._ready_ids()
-                if not ready:
-                    if self._drained():
-                        break
-                    self.scan_controls()
-                    self._write_health("serving")
-                    self._sleep(self.options.poll_interval)
-                    continue
-                self._serve_one(ready)
-        finally:
-            self._finalize(handle_signals)
+        self._run(handle_signals)
         return {
             state.tenant_id: state.stats for state in self.registry.states()
         }
+
+    def _serve_step(self) -> bool:
+        self._iterations += 1
+        if (
+            self.options.control_scan_every > 0
+            and self._iterations % self.options.control_scan_every == 0
+        ):
+            self.scan_controls()
+        for tenant_id in list(self._queues):
+            self._refill(tenant_id)
+        ready = self._ready_ids()
+        if ready:
+            self._serve_one(ready)
+        elif not self._drained():
+            self.scan_controls()  # idle: look again before the heartbeat
+        return bool(ready)
 
     def _ready_ids(self) -> List[str]:
         return [
@@ -333,9 +262,9 @@ class TenantService:
         crash_point("cursor.commit")
         self._since_checkpoint[tenant_id] += 1
         if (
-            self.options.checkpoint_every > 0
+            self.options.serve.checkpoint_every > 0
             and self._since_checkpoint[tenant_id]
-            >= self.options.checkpoint_every
+            >= self.options.serve.checkpoint_every
         ):
             self._since_checkpoint[tenant_id] = 0
             # checkpoint_tenant already journals the failure case and
@@ -396,27 +325,10 @@ class TenantService:
             if config.tenant_id not in self.registry:
                 self._admit_tenant(config)
 
-    def _finalize(self, handle_signals: bool) -> None:
+    def _dispose(self) -> None:
         # Checkpoint-and-release every hydrated tenant: the durable
         # cursor in each tenant's extras is what makes restart lossless.
         self.registry.evict_all(reason="shutdown")
-        self._status = "stopped"
-        totals = self._totals()
-        self.journal.emit(
-            EVENT_STOP,
-            stopped_early=self._stop_requested,
-            tenants=len(self.registry),
-            batches_ok=totals["batches_ok"],
-            batches_seen=totals["batches_seen"],
-            quarantined=totals["quarantined"],
-        )
-        self._write_health("stopped")
-        self._set_gauge(names.SERVE_HEALTHY, 0)
-        if self.obs_server is not None:
-            self.obs_server.stop()
-        self.journal.close()
-        if handle_signals:
-            self._restore_signal_handlers()
 
     # -- the introspection surface ---------------------------------------------
 
@@ -449,55 +361,34 @@ class TenantService:
             "tenants": [s.describe() for s in self.registry.states()],
         }
 
-    def health_payload(
-        self, status: Optional[str] = None, last_tenant: Optional[str] = None
-    ) -> dict:
+    def _start_fields(self) -> Dict[str, Any]:
+        return {"tenants": len(self.registry), "mode": "multi-tenant"}
+
+    def _stop_fields(self) -> Dict[str, Any]:
         totals = self._totals()
-        payload = {
-            "status": status or self._status,
-            "pid": os.getpid(),
-            "updated_unix": time.time(),
+        return {
+            "tenants": len(self.registry),
+            "batches_ok": totals["batches_ok"],
+            "batches_seen": totals["batches_seen"],
+            "quarantined": totals["quarantined"],
+        }
+
+    def _health_fields(self) -> Dict[str, Any]:
+        return {
             "mode": "multi-tenant",
             "tenants": len(self.registry),
             "queue_depth": sum(len(q) for q in self._queues.values()),
-            **totals,
+            **self._totals(),
         }
-        if last_tenant is not None:
-            self._last_tenant = last_tenant
-        if getattr(self, "_last_tenant", None) is not None:
-            payload["last_tenant"] = self._last_tenant
-        return payload
 
-    def stats_payload(self) -> dict:
+    def _stats_fields(self) -> Dict[str, Any]:
         return {
             "totals": self._totals(),
             "tenants": {
                 s.tenant_id: dict(vars(s.stats))
                 for s in self.registry.states()
             },
-            "journal_seq": self.journal.seq,
-            "journal_file": (
-                str(self.journal.path) if self.journal.path else None
-            ),
-            "flight_dumps": self.recorder.dumps_written,
-            "histograms": self.recorder.histograms(),
         }
-
-    def _events_since(self, since: int) -> list:
-        if self.journal.path is not None:
-            return self.journal.events_since(since)
-        return self.recorder.events(since)
-
-    def _write_health(
-        self, status: str, last_tenant: Optional[str] = None
-    ) -> None:
-        if self.options.health_file is None:
-            return
-        payload = self.health_payload(status, last_tenant)
-        atomic_write_text(
-            Path(self.options.health_file),
-            json.dumps(payload, sort_keys=True, indent=2),
-        )
 
     def summary(self) -> str:
         totals = self._totals()
@@ -513,17 +404,3 @@ class TenantService:
         if totals["failed"]:
             parts.append(f"{totals['failed']} failed")
         return ", ".join(parts)
-
-    # -- telemetry shims -------------------------------------------------------
-
-    @staticmethod
-    def _count(metric_name: str) -> None:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(metric_name).inc()
-
-    @staticmethod
-    def _set_gauge(metric_name: str, value: float) -> None:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.gauge(metric_name).set(value)

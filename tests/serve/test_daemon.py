@@ -10,7 +10,6 @@ batches applied straight through a fresh verifier.
 import json
 import os
 import signal
-import time
 
 from repro.core.realconfig import RealConfig
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
@@ -241,11 +240,19 @@ class TestDeadline:
     def test_slow_attempt_is_aborted_and_retried(
         self, make_daemon, ring_snapshot
     ):
+        # A fake clock that only the injected delay advances: verification
+        # itself takes no time on it, so the outcome cannot depend on how
+        # fast (or how garbage-laden) the host is.
+        now = [0.0]
+
+        def advance(seconds):
+            now[0] += seconds
+
         daemon, batches = make_daemon(
             count=4,
             max_retries=2,
             deadline_seconds=0.05,
-            clock=time.monotonic,
+            clock=lambda: now[0],
         )
         # One slow attempt: the injected delay burns the 50ms budget, the
         # cooperative abort fires at the next stage boundary, the
@@ -253,7 +260,8 @@ class TestDeadline:
         plan = FaultPlan(
             FaultSpec(
                 "generation", call=1, action="delay", delay_seconds=0.2
-            )
+            ),
+            sleep=advance,
         )
         with inject(plan):
             stats = daemon.run()

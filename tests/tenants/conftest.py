@@ -7,6 +7,8 @@ deterministic in the seed.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.serve.engine import ServeOptions
@@ -34,15 +36,18 @@ def make_service():
     (no backoff sleeps, no breaker unless asked)."""
 
     def build(root, **overrides):
-        serve_overrides = overrides.pop("serve", {})
-        serve = ServeOptions(
-            breaker_threshold=serve_overrides.pop("breaker_threshold", 0),
-            backoff_base=serve_overrides.pop("backoff_base", 0.0),
-            **serve_overrides,
+        # Overrides name fields of either options object; the
+        # ServeOptions ones (journal/health files, obs port, checkpoint
+        # cadence, ...) go to ``serve``.
+        service_fields = {f.name for f in dataclasses.fields(TenantServiceOptions)}
+        serve = dict(breaker_threshold=0, backoff_base=0.0, poll_interval=0.01)
+        serve.update(overrides.pop("serve", {}))
+        serve.update(
+            (name, overrides.pop(name))
+            for name in list(overrides)
+            if name not in service_fields
         )
-        options = TenantServiceOptions(
-            serve=serve, poll_interval=0.01, **overrides
-        )
+        options = TenantServiceOptions(serve=ServeOptions(**serve), **overrides)
         return TenantService(root, options)
 
     return build

@@ -19,8 +19,9 @@ VICTIM = "t000"  # the zipf head: plenty of batches around the crash
 
 def make_service(root, **overrides):
     options = TenantServiceOptions(
-        serve=ServeOptions(breaker_threshold=0, backoff_base=0.0),
-        poll_interval=0.01,
+        serve=ServeOptions(
+            breaker_threshold=0, backoff_base=0.0, poll_interval=0.01
+        ),
         **overrides,
     )
     return TenantService(root, options)

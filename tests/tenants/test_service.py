@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serve.stream import ChangeBatch, read_stream
 from repro.tenants import TenantService, discover_tenants
 from repro.workloads.tenants import build_tenant, poison_stream
@@ -130,6 +131,34 @@ class TestFaultContainment:
 
         extras = read_checkpoint_extras(state.config.checkpoint_file)
         assert extras["serve"]["cursor"] == 3
+
+
+class TestJournalDegradation:
+    """The fleet's side of tests/serve/test_storage_faults.py::
+    TestJournalDegradation: after a journal write fault the durable file
+    is frozen mid-stream, so ``/events`` must answer from the flight
+    recorder and health must report the degradation."""
+
+    def run_degraded(self, make_fleet, make_service):
+        root = make_fleet(count=2, total_batches=6)
+        service = make_service(root, journal_file=root / "journal.jsonl")
+        plan = FaultPlan(FaultSpec("journal_write", action="errno", call=4))
+        with inject(plan):
+            stats = service.run()
+        assert plan.fired
+        assert service.journal.degraded
+        return service, stats
+
+    def test_events_fall_back_to_the_recorder(self, make_fleet, make_service):
+        service, stats = self.run_degraded(make_fleet, make_service)
+        events = service._events_since(0)
+        assert events == service.recorder.events(0)
+        committed = sum(e["event"] == "committed" for e in events)
+        assert committed == sum(s.batches_ok for s in stats.values())
+
+    def test_health_reports_journal_degraded(self, make_fleet, make_service):
+        service, _ = self.run_degraded(make_fleet, make_service)
+        assert service.health_payload()["journal_degraded"] is True
 
 
 class TestAdmission:
